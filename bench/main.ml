@@ -220,7 +220,7 @@ let ablation_index () =
   in
   let run ~pruned =
     let cursor =
-      if pruned then Zone_map.open_cursor zone_map pred file
+      if pruned then Zone_map.open_cursor zone_map (Predicate.compile pred) file
       else Heap_file.Cursor.open_ file
     in
     let report =

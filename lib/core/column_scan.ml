@@ -2,33 +2,17 @@
    an instance closure over an object array, classification runs as
    tight loops over column chunks, writing verdict/laxity/success into
    flat wave buffers.  Objects are only materialized ([of_row]) when the
-   decision loop consumes them, on the caller's lane. *)
+   decision loop consumes a YES or MAYBE row, on the caller's lane; NO
+   rows are handed over as one shared item. *)
 
+(* Same evaluation pattern as [Scan_pipeline.classify_one]: laxity only
+   for YES/MAYBE, success only for MAYBE.  Laxity is the support width
+   ([Uncertain.laxity] of an interval or exact belief), success is
+   [Predicate.success] on the flat schema. *)
 let kernel (pred : Predicate.compiled) (ch : Column_store.chunk) ~off ~verdicts
     ~laxities ~successes =
-  let lo = ch.Column_store.lo and hi = ch.Column_store.hi in
-  for i = 0 to ch.Column_store.len - 1 do
-    let l = Bigarray.Array1.unsafe_get lo i in
-    let h = Bigarray.Array1.unsafe_get hi i in
-    let v = Predicate.classify_bounds pred ~lo:l ~hi:h in
-    Bytes.unsafe_set verdicts (off + i) (Tvl.to_char v);
-    (* Same evaluation pattern as [Scan_pipeline.classify_one]: laxity
-       only for YES/MAYBE, success only for MAYBE.  Laxity is the
-       support width ([Uncertain.laxity] of an interval or exact
-       belief), success mirrors [Predicate.success] on the flat
-       schema. *)
-    match v with
-    | Tvl.No ->
-        Array.unsafe_set laxities (off + i) 0.0;
-        Array.unsafe_set successes (off + i) 0.0
-    | Tvl.Yes ->
-        Array.unsafe_set laxities (off + i) (h -. l);
-        Array.unsafe_set successes (off + i) 1.0
-    | Tvl.Maybe ->
-        Array.unsafe_set laxities (off + i) (h -. l);
-        Array.unsafe_set successes (off + i)
-          (Predicate.success_bounds pred ~lo:l ~hi:h)
-  done
+  Predicate.classify_columns pred ~lo:ch.Column_store.lo ~hi:ch.Column_store.hi
+    ~len:ch.Column_store.len ~off ~verdicts ~laxities ~successes
 
 let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
   if wave < 1 then invalid_arg "Column_scan.source: wave < 1";
@@ -37,9 +21,8 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
     if not prune then Array.init chunk_count (fun c -> c)
     else begin
       let keep = ref [] in
-      let p = Predicate.source pred in
       for c = chunk_count - 1 downto 0 do
-        if not (Column_store.prunable store p c) then keep := c :: !keep
+        if not (Column_store.prunable store pred c) then keep := c :: !keep
       done;
       Array.of_list !keep
     end
@@ -98,6 +81,27 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
     chunk_pos := 0;
     row_pos := 0
   in
+  (* The operator counts a NO and drops it: it never emits, retains or
+     probes the object (see [Operator.source]).  So every NO row is
+     handed over as the same item, materialized once from the first NO
+     row met, and costs no allocation. *)
+  let no_item = ref None in
+  let shared_no ch i =
+    match !no_item with
+    | Some _ as it -> it
+    | None ->
+        let it =
+          Some
+            {
+              Scan_pipeline.original = of_row (Column_store.row ch i);
+              verdict = Tvl.No;
+              laxity = 0.0;
+              success = 0.0;
+            }
+        in
+        no_item := it;
+        it
+  in
   let rec next () =
     if !chunk_pos < Array.length !chunks then begin
       let ch = (!chunks).(!chunk_pos) in
@@ -110,13 +114,16 @@ let source ?obs ?(wave = 16) ?pool ?(prune = false) ~store ~of_row ~pred () =
         let i = !row_pos in
         incr row_pos;
         let off = (!chunk_pos * cs) + i in
-        Some
-          {
-            Scan_pipeline.original = of_row (Column_store.row ch i);
-            verdict = Tvl.of_char (Bytes.unsafe_get verdicts off);
-            laxity = Array.unsafe_get laxities off;
-            success = Array.unsafe_get successes off;
-          }
+        match Tvl.of_char (Bytes.unsafe_get verdicts off) with
+        | Tvl.No -> shared_no ch i
+        | (Tvl.Yes | Tvl.Maybe) as verdict ->
+            Some
+              {
+                Scan_pipeline.original = of_row (Column_store.row ch i);
+                verdict;
+                laxity = Array.unsafe_get laxities off;
+                success = Array.unsafe_get successes off;
+              }
       end
     end
     else if !frontier >= Array.length surviving then None

@@ -43,13 +43,16 @@ let feasible counters req ~verdict ~laxity =
   let ignore_ = if can_ignore counters req ~verdict then [ Ignore ] else [] in
   forward @ [ Probe ] @ ignore_
 
-let first_feasible counters req ~verdict ~laxity ~preference =
-  let ok = function
-    | Probe -> true
-    | Forward -> (
-        match (verdict : Tvl.t) with
-        | No -> false
-        | Yes | Maybe -> can_forward counters req ~verdict ~laxity)
-    | Ignore -> can_ignore counters req ~verdict
-  in
-  match List.find_opt ok preference with Some a -> a | None -> Probe
+(* A direct recursion over the preference list: it runs once per YES or
+   MAYBE object, so it allocates no predicate closure and no option. *)
+let rec first_feasible counters req ~verdict ~laxity ~preference =
+  match preference with
+  | [] | Probe :: _ -> Probe
+  | Forward :: rest -> (
+      match (verdict : Tvl.t) with
+      | (Yes | Maybe) when can_forward counters req ~verdict ~laxity -> Forward
+      | No | Yes | Maybe ->
+          first_feasible counters req ~verdict ~laxity ~preference:rest)
+  | Ignore :: rest ->
+      if can_ignore counters req ~verdict then Ignore
+      else first_feasible counters req ~verdict ~laxity ~preference:rest

@@ -42,4 +42,5 @@ val first_feasible :
   Counters.t -> Quality.requirements -> verdict:Tvl.t -> laxity:float ->
   preference:action list -> action
 (** The first action of [preference] that is feasible; falls back to
-    [Probe] if none is. *)
+    [Probe] if none is.  Runs once per YES/MAYBE object and allocates
+    nothing (pinned by the allocation tests). *)

@@ -394,9 +394,7 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
         in
         ((fun () -> Cascade.pending c), submit_probe, flush_probes)
   in
-  let finished () =
-    Counters.recall_guarantee counters >= requirements.Quality.recall
-  in
+  let finished () = Counters.recall_reached counters requirements in
   (* A pending resolution can only raise the recall guarantee: a YES
      grows the numerator with the denominator unchanged, a NO shrinks
      the denominator.  Flush as soon as the most favourable outcome mix
@@ -411,11 +409,13 @@ let run ~rng ?meter ?obs ?emit ?(collect = true) ?(enforce = true)
       Counters.yes_seen counters + Counters.unseen counters
       + Counters.maybe_ignored counters
     in
-    let ratio num den =
-      if den <= 0 then 1.0 else float_of_int num /. float_of_int den
+    (* [Float.max up down >= r] spelt as [up >= r || down >= r] (neither
+       ratio can be NaN), so no float is boxed. *)
+    let up = if d <= 0 then 1.0 else float_of_int (ay + n) /. float_of_int d in
+    let down =
+      if d - n <= 0 then 1.0 else float_of_int ay /. float_of_int (d - n)
     in
-    Float.max (ratio (ay + n) d) (ratio ay (d - n))
-    >= requirements.Quality.recall
+    up >= requirements.Quality.recall || down >= requirements.Quality.recall
   in
   (* One object per iteration; Fig. 1's do-loop with the stopping test
      hoisted, so a query whose recall bound is already met reads

@@ -26,7 +26,15 @@ type 'o instance = {
 
 (** A sequential input.  [total] is the number of objects the source will
     deliver — the initial [|M_ns|].  It must be exact: guarantees are
-    computed from it. *)
+    computed from it.
+
+    What the operator does with an object its instance classifies NO:
+    it counts it (one read, one [M_ns] object consumed) and drops it.
+    It never emits, retains or probes a NO object, and never asks its
+    laxity or success.  A source may therefore hand over every NO
+    object as one shared stand-in, as long as [classify] reads NO on
+    it — {!Column_scan.source} does, so the NO rows of a columnar scan
+    are never materialized. *)
 type 'o source = { next : unit -> 'o option; total : int }
 
 val source_of_array : 'o array -> 'o source

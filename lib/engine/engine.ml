@@ -112,13 +112,17 @@ let resolve_layout ?layout () =
                layout_env other))
 
 let observed_max_laxity ?pool instance data =
-  let laxities =
-    match pool with
-    | Some p when Domain_pool.domains p > 1 ->
-        Domain_pool.parallel_map p instance.Operator.laxity data
-    | _ -> Array.map instance.Operator.laxity data
-  in
-  Array.fold_left Float.max 0.0 laxities
+  match pool with
+  | Some p when Domain_pool.domains p > 1 ->
+      Array.fold_left Float.max 0.0
+        (Domain_pool.parallel_map p instance.Operator.laxity data)
+  | _ ->
+      (* The same left fold, without a laxity array as long as the data. *)
+      let m = ref 0.0 in
+      for i = 0 to Array.length data - 1 do
+        m := Float.max !m (instance.Operator.laxity data.(i))
+      done;
+      !m
 
 let make_plan ~rng ~meter ?obs ?pool ~cost ~batch ?tiers ~cap ~budget
     ~instance ~requirements ~fraction ~density ~fallback data =

@@ -46,73 +46,60 @@ let rec satisfying_set = function
   | And (a, b) -> Real_set.inter (satisfying_set a) (satisfying_set b)
   | Or (a, b) -> Real_set.union (satisfying_set a) (satisfying_set b)
 
-let classify_interval p support =
-  let set = satisfying_set p in
-  if Real_set.covers set support then Tvl.Yes
-  else if Real_set.disjoint set support then Tvl.No
-  else Tvl.Maybe
+(* ---- compiled form ------------------------------------------------ *)
 
-let classify p o = classify_interval p (Uncertain.support o)
+(* The satisfying set, built once: a flat sorted array of component
+   bounds ([Real_set.t]).  Every three-way test below — on a compiled
+   predicate, a belief or a bare support — runs [Real_set]'s one
+   float-typed loop over it, so the row path, the column kernel and the
+   pruning tests cannot disagree. *)
+type compiled = Real_set.t
 
-let success p o =
-  match classify p o with
-  | Tvl.Yes -> 1.0
-  | Tvl.No -> 0.0
-  | Tvl.Maybe ->
-      let set = satisfying_set p in
-      let mass =
-        match o with
-        | Uncertain.Exact v -> if Real_set.mem set v then 1.0 else 0.0
-        | Uncertain.Interval i ->
-            if Interval.is_point i then
-              (if Real_set.mem set (Interval.lo i) then 1.0 else 0.0)
-            else Real_set.measure_within set i /. Interval.width i
-        | Uncertain.Gaussian { mean; stddev; _ } ->
-            let cdf x =
-              if x = infinity then 1.0
-              else if x = neg_infinity then 0.0
-              else Math_special.normal_cdf ~mean ~stddev x
-            in
+let compile = satisfying_set
+let classify_bounds c ~lo ~hi = Real_set.classify_bounds c ~lo ~hi
+let success_bounds c ~lo ~hi = Real_set.uniform_success_bounds c ~lo ~hi
+
+let classify_columns c ~lo ~hi ~len ~off ~verdicts ~laxities ~successes =
+  Real_set.classify_supports c ~lo ~hi ~len ~off ~verdicts ~laxities
+    ~successes
+
+let classify_compiled c o =
+  match o with
+  | Uncertain.Exact v -> classify_bounds c ~lo:v ~hi:v
+  | Uncertain.Interval i -> classify_bounds c ~lo:(Interval.lo i) ~hi:(Interval.hi i)
+  | Uncertain.Gaussian _ ->
+      let s = Uncertain.support o in
+      classify_bounds c ~lo:(Interval.lo s) ~hi:(Interval.hi s)
+
+let success_compiled c o =
+  match o with
+  | Uncertain.Exact v -> success_bounds c ~lo:v ~hi:v
+  | Uncertain.Interval i ->
+      success_bounds c ~lo:(Interval.lo i) ~hi:(Interval.hi i)
+  | Uncertain.Gaussian { mean; stddev; _ } -> (
+      match classify_compiled c o with
+      | Tvl.Yes -> 1.0
+      | Tvl.No -> 0.0
+      | Tvl.Maybe ->
+          let cdf x =
+            if x = infinity then 1.0
+            else if x = neg_infinity then 0.0
+            else Math_special.normal_cdf ~mean ~stddev x
+          in
+          let mass =
             List.fold_left
               (fun acc (lo, hi) -> acc +. (cdf hi -. cdf lo))
               0.0
-              (Real_set.components set)
-      in
-      Float.min 1.0 (Float.max 0.0 mass)
+              (Real_set.components c)
+          in
+          Float.min 1.0 (Float.max 0.0 mass))
 
-(* ---- compiled form for vectorized classification ------------------ *)
+let classify p o = classify_compiled (compile p) o
+let success p o = success_compiled (compile p) o
 
-(* [classify] and [success] above recompute the satisfying set on every
-   call — fine for row-at-a-time evaluation, ruinous in a scan loop.  A
-   compiled predicate computes the set once; its per-object entry points
-   take the support as two floats and allocate nothing on the YES/NO
-   path.  Every comparison goes through the same [Real_set] tests as the
-   row path, so verdicts, laxities and success probabilities are
-   bit-for-bit identical — the property the columnar golden suite
-   checks. *)
-type compiled = { source : t; set : Real_set.t }
-
-let compile p = { source = p; set = satisfying_set p }
-let source c = c.source
-
-let classify_bounds c ~lo ~hi =
-  if Real_set.covers_bounds c.set ~lo ~hi then Tvl.Yes
-  else if Real_set.disjoint_bounds c.set ~lo ~hi then Tvl.No
-  else Tvl.Maybe
-
-let success_bounds c ~lo ~hi =
-  match classify_bounds c ~lo ~hi with
-  | Tvl.Yes -> 1.0
-  | Tvl.No -> 0.0
-  | Tvl.Maybe ->
-      (* Mirrors [success] on the flat-schema belief models: a point
-         support is an [Exact]/point-interval belief (membership test),
-         a proper interval divides the covered measure by the width. *)
-      let mass =
-        if lo = hi then (if Real_set.mem c.set lo then 1.0 else 0.0)
-        else Real_set.measure_within_bounds c.set ~lo ~hi /. (hi -. lo)
-      in
-      Float.min 1.0 (Float.max 0.0 mass)
+let classify_interval p support =
+  classify_bounds (compile p) ~lo:(Interval.lo support)
+    ~hi:(Interval.hi support)
 
 let rec pp ppf = function
   | Ge x -> Format.fprintf ppf "v >= %g" x

@@ -43,30 +43,42 @@ val satisfying_set : t -> Real_set.t
 
 val classify : t -> Uncertain.t -> Tvl.t
 (** [Yes] if the object's support is contained in the satisfying set,
-    [No] if disjoint from it, [Maybe] otherwise. *)
+    [No] if disjoint from it, [Maybe] otherwise.  Builds the satisfying
+    set on every call: code that classifies many objects compiles the
+    predicate once and uses {!classify_compiled}. *)
 
 val classify_interval : t -> Interval.t -> Tvl.t
 (** Same, directly on an interval support. *)
 
 val success : t -> Uncertain.t -> float
 (** Probability that a probe returns YES, under the object's belief
-    model.  Returns 1 (resp. 0) when {!classify} is [Yes] (resp. [No]). *)
+    model.  Returns 1 (resp. 0) when {!classify} is [Yes] (resp. [No]).
+    Like {!classify}, builds the satisfying set per call. *)
 
 (** {2 Compiled form}
 
-    {!classify} and {!success} recompute the satisfying set on every
-    call.  A {!compiled} predicate computes it once; the [_bounds] entry
-    points then take an interval support as two floats and allocate
-    nothing on the YES/NO path — the shape the columnar classification
-    kernel needs.  Results are bit-for-bit those of {!classify} /
-    {!success} on the corresponding [Exact]/[Interval] belief. *)
+    A {!compiled} predicate holds its satisfying set, built once, as a
+    flat sorted float array of component bounds.  {!classify} and
+    {!success} are {!classify_compiled} and {!success_compiled} of a
+    fresh compilation, and every entry point below runs the same
+    float-typed loop of {!Real_set}, so all of them agree bit for bit.
+
+    What is measured (and pinned by the allocation tests): a
+    {!classify_columns} call allocates nothing.  The per-object entry
+    points are ordinary cross-module calls, so their float arguments and
+    results are boxed at the call boundary. *)
 
 type compiled
 
 val compile : t -> compiled
 
-val source : compiled -> t
-(** The predicate the kernel was compiled from. *)
+val classify_compiled : compiled -> Uncertain.t -> Tvl.t
+(** {!classify} without rebuilding the satisfying set. *)
+
+val success_compiled : compiled -> Uncertain.t -> float
+(** {!success} without rebuilding the satisfying set.  [Exact] and
+    [Interval] beliefs go through {!success_bounds}; a [Gaussian] belief
+    integrates its CDF over the set's components. *)
 
 val classify_bounds : compiled -> lo:float -> hi:float -> Tvl.t
 (** {!classify} of an object whose support is [\[lo, hi\]]. *)
@@ -76,6 +88,22 @@ val success_bounds : compiled -> lo:float -> hi:float -> float
     point support reads as an exact value (membership), a proper
     interval as a uniform interval belief (covered measure over
     width). *)
+
+val classify_columns :
+  compiled ->
+  lo:Real_set.f64 ->
+  hi:Real_set.f64 ->
+  len:int ->
+  off:int ->
+  verdicts:Bytes.t ->
+  laxities:float array ->
+  successes:float array ->
+  unit
+(** {!classify_bounds}, the support width and {!success_bounds} of rows
+    [0 .. len - 1] of two bound columns, written to positions
+    [off .. off + len - 1] of the buffers (laxity and success are 0 on a
+    [No]; the verdict is [Tvl.to_char]-packed) — {!Real_set.classify_supports}
+    on the compiled set.  Allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

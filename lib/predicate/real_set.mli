@@ -47,16 +47,45 @@ val components : t -> (float * float) list
 val measure_within : t -> Interval.t -> float
 (** Total length of the intersection of [s] with the (finite) interval. *)
 
-(** {2 Allocation-free variants}
+(** {2 Tests on a support given as two floats}
 
-    The same tests over a support given as two floats, for tight loops
-    over column chunks.  Each is an exact mirror of its interval-taking
-    namesake — same comparisons, same accumulation order — so columnar
-    classification is bit-for-bit the row path's. *)
+    A set is stored as one flat, sorted float array of component bounds.
+    Every test of a set against a support — {!mem}, {!covers},
+    {!disjoint}, {!measure_within} above and the functions below — runs
+    one float-typed loop over that array, so all of them give
+    bit-for-bit the same answers. *)
 
-val covers_bounds : t -> lo:float -> hi:float -> bool
-val disjoint_bounds : t -> lo:float -> hi:float -> bool
+val classify_bounds : t -> lo:float -> hi:float -> Tvl.t
+(** [Yes] if [s] covers [\[lo, hi\]], [No] if it is disjoint from it,
+    [Maybe] otherwise. *)
+
 val measure_within_bounds : t -> lo:float -> hi:float -> float
+(** {!measure_within} of [\[lo, hi\]]. *)
+
+val uniform_success_bounds : t -> lo:float -> hi:float -> float
+(** Probability that a value drawn from a uniform belief on [\[lo, hi\]]
+    lies in [s]: 1 on [Yes], 0 on [No], otherwise the covered fraction
+    of the width, clamped to [\[0, 1\]]; a point support reads as
+    membership. *)
+
+type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val classify_supports :
+  t ->
+  lo:f64 ->
+  hi:f64 ->
+  len:int ->
+  off:int ->
+  verdicts:Bytes.t ->
+  laxities:float array ->
+  successes:float array ->
+  unit
+(** The column kernel: for each row [i < len], the support
+    [\[lo.{i}, hi.{i}\]] is classified and written to position [off + i]
+    of the buffers — verdict [Tvl.to_char]-packed, laxity (the support
+    width, 0 on [No]) and success ({!uniform_success_bounds}, 0 on
+    [No]).  The loops are inlined here over unboxed floats, so a call
+    allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -130,10 +130,11 @@ let belief r =
   if r.resolved then Uncertain.exact r.current else Uncertain.Interval r.cached
 
 let instance pred : reading Operator.instance =
+  let c = Predicate.compile pred in
   {
-    classify = (fun r -> Predicate.classify pred (belief r));
+    classify = (fun r -> Predicate.classify_compiled c (belief r));
     laxity = (fun r -> Uncertain.laxity (belief r));
-    success = (fun r -> Predicate.success pred (belief r));
+    success = (fun r -> Predicate.success_compiled c (belief r));
   }
 
 let probe r = { r with resolved = true }

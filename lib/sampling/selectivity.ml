@@ -67,7 +67,10 @@ let estimate ~(instance : 'o Operator.instance) ?pool ?laxity_cap
 let bernoulli_sample rng ~fraction objects =
   if not (fraction >= 0.0 && fraction <= 1.0) then
     invalid_arg "Selectivity.bernoulli_sample: fraction outside [0, 1]";
-  Array.of_list
-    (Array.fold_right
-       (fun o acc -> if Rng.bernoulli rng fraction then o :: acc else acc)
-       objects [])
+  (* One draw per object, last object first: the draw order every seeded
+     plan depends on. *)
+  let picked = ref [] in
+  for i = Array.length objects - 1 downto 0 do
+    if Rng.bernoulli rng fraction then picked := objects.(i) :: !picked
+  done;
+  Array.of_list !picked

@@ -105,7 +105,11 @@ let zone_map t = Zone_map.of_zones t.zones
 let prunable t pred c =
   match zone t c with
   | None -> true
-  | Some hull -> Tvl.equal (Predicate.classify_interval pred hull) Tvl.No
+  | Some hull ->
+      Tvl.equal
+        (Predicate.classify_bounds pred ~lo:(Interval.lo hull)
+           ~hi:(Interval.hi hull))
+        Tvl.No
 
 let pruned_chunks t pred =
   let n = ref 0 in

@@ -77,11 +77,12 @@ val zone_map : t -> Zone_map.t
 (** The hulls repackaged as a {!Zone_map} (chunk = page), for reuse of
     the row path's pruning reports. *)
 
-val prunable : t -> Predicate.t -> int -> bool
+val prunable : t -> Predicate.compiled -> int -> bool
 (** [prunable t pred c] iff every row of chunk [c] is a guaranteed NO —
-    same semantics as {!Zone_map.prunable}, decided from the hull alone. *)
+    same semantics as {!Zone_map.prunable}, decided from the hull alone
+    with the compiled predicate (no satisfying set is built per chunk). *)
 
-val pruned_chunks : t -> Predicate.t -> int
+val pruned_chunks : t -> Predicate.compiled -> int
 (** Number of chunks {!prunable} would skip. *)
 
 val row : chunk -> int -> row

@@ -24,7 +24,11 @@ let zone t p =
 let prunable t pred p =
   match zone t p with
   | None -> true
-  | Some hull -> Tvl.equal (Predicate.classify_interval pred hull) Tvl.No
+  | Some hull ->
+      Tvl.equal
+        (Predicate.classify_bounds pred ~lo:(Interval.lo hull)
+           ~hi:(Interval.hi hull))
+        Tvl.No
 
 let pruned_pages t pred =
   let n = ref 0 in

@@ -28,17 +28,19 @@ val page_count : t -> int
 val zone : t -> int -> Interval.t option
 (** The hull of page [p]; [None] for an empty page. *)
 
-val prunable : t -> Predicate.t -> int -> bool
-(** [prunable zm pred p] iff every object on page [p] is guaranteed NO. *)
+val prunable : t -> Predicate.compiled -> int -> bool
+(** [prunable zm pred p] iff every object on page [p] is guaranteed NO.
+    The predicate comes compiled, so a scan over many pages builds its
+    satisfying set once. *)
 
-val pruned_pages : t -> Predicate.t -> int
+val pruned_pages : t -> Predicate.compiled -> int
 (** Number of pages {!prunable} would skip. *)
 
 val open_cursor :
   ?obs:Obs.t ->
   ?pool:'a array Buffer_pool.t ->
   t ->
-  Predicate.t ->
+  Predicate.compiled ->
   'a Heap_file.t ->
   'a Heap_file.Cursor.t
 (** The pruning-aware scan path: a cursor over [file] that skips every

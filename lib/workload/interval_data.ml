@@ -4,11 +4,15 @@ type record = {
   truth : float;
 }
 
+(* The predicate is compiled once per instance, not per call: probed
+   objects come back through [classify] too, hundreds of thousands of
+   times per query on a large scan. *)
 let instance pred : record Operator.instance =
+  let c = Predicate.compile pred in
   {
-    classify = (fun r -> Predicate.classify pred r.belief);
+    classify = (fun r -> Predicate.classify_compiled c r.belief);
     laxity = (fun r -> Uncertain.laxity r.belief);
-    success = (fun r -> Predicate.success pred r.belief);
+    success = (fun r -> Predicate.success_compiled c r.belief);
   }
 
 let probe r = { r with belief = Uncertain.exact r.truth }

@@ -224,12 +224,12 @@ let test_prune_sound_and_lazy () =
     run { Engine.store = counting; of_row = Interval_data.of_row; pred;
           prune = true }
   in
-  let pruned = Column_store.pruned_chunks resident pred in
+  let pruned = Column_store.pruned_chunks resident (Predicate.compile pred) in
   checkb "predicate prunes some chunks" true (pruned > 0);
   List.iter
     (fun c ->
       checkb "no pruned chunk was fetched" false
-        (Column_store.prunable resident pred c))
+        (Column_store.prunable resident (Predicate.compile pred) c))
     !fetched;
   (* Recall 1 forces a full scan of the surviving chunks, so the answer
      must contain the whole exact set despite the pruning. *)

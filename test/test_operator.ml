@@ -157,7 +157,7 @@ let test_zone_map_source_is_sound () =
         Uncertain.support r.belief)
   in
   let cursor =
-    Heap_file.Cursor.open_filtered file ~skip_page:(Zone_map.prunable zm pred)
+    Heap_file.Cursor.open_filtered file ~skip_page:(Zone_map.prunable zm (Predicate.compile pred))
   in
   let requirements = req ~p:0.9 ~r:0.8 ~l:20.0 () in
   let report =

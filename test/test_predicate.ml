@@ -137,6 +137,95 @@ let prop_success_complement =
       let s = Predicate.success p u +. Predicate.success (Predicate.not_ p) u in
       Float.abs (s -. 1.0) < 1e-9)
 
+(* ---- compiled classification against a reference ------------------- *)
+
+(* The reference is written here, straight from the satisfying set's
+   components, because the library has a single implementation of the
+   set-versus-support tests: the compiled one under test. *)
+let reference_classify p (lo, hi) =
+  let comps = Real_set.components (Predicate.satisfying_set p) in
+  if List.exists (fun (clo, chi) -> clo <= lo && hi <= chi) comps then Tvl.Yes
+  else if not (List.exists (fun (clo, chi) -> clo <= hi && lo <= chi) comps)
+  then Tvl.No
+  else Tvl.Maybe
+
+let reference_success p o =
+  let s = Uncertain.support o in
+  let comps = Real_set.components (Predicate.satisfying_set p) in
+  let mem x = List.exists (fun (clo, chi) -> clo <= x && x <= chi) comps in
+  match reference_classify p (Interval.lo s, Interval.hi s) with
+  | Tvl.Yes -> 1.0
+  | Tvl.No -> 0.0
+  | Tvl.Maybe ->
+      let mass =
+        match o with
+        | Uncertain.Exact v -> if mem v then 1.0 else 0.0
+        | Uncertain.Interval i ->
+            if Interval.is_point i then (if mem (Interval.lo i) then 1.0 else 0.0)
+            else
+              List.fold_left
+                (fun acc (clo, chi) ->
+                  let l = Float.max clo (Interval.lo i)
+                  and h = Float.min chi (Interval.hi i) in
+                  if l < h then acc +. (h -. l) else acc)
+                0.0 comps
+              /. Interval.width i
+        | Uncertain.Gaussian { mean; stddev; _ } ->
+            let cdf x =
+              if x = infinity then 1.0
+              else if x = neg_infinity then 0.0
+              else Math_special.normal_cdf ~mean ~stddev x
+            in
+            List.fold_left (fun acc (clo, chi) -> acc +. (cdf chi -. cdf clo)) 0.0 comps
+      in
+      Float.min 1.0 (Float.max 0.0 mass)
+
+(* Endpoints on a half-unit grid, so supports often start or end exactly
+   on a component bound, and [Not]/[And]/[Or] of integer-bounded leaves
+   produce touching components. *)
+let belief_gen =
+  QCheck2.Gen.(
+    let half k = float_of_int k /. 2.0 in
+    oneof
+      [
+        map (fun k -> Uncertain.exact (half k)) (int_range (-50) 50);
+        (let* a = int_range (-50) 50 in
+         let* w = int_range 1 20 in
+         return (Uncertain.interval (half a) (half (a + w))));
+        map (fun k -> Uncertain.interval (half k) (half k)) (int_range (-50) 50);
+        (let* m = int_range (-50) 50 in
+         let* sd = int_range 1 8 in
+         return (Uncertain.gaussian ~mean:(half m) ~stddev:(half sd) ()));
+      ])
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_compiled_matches_reference =
+  QCheck2.Test.make
+    ~name:"compiled classify/success equal the component reference" ~count:1000
+    QCheck2.Gen.(pair pred_gen belief_gen)
+    (fun (p, o) ->
+      let c = Predicate.compile p in
+      let s = Uncertain.support o in
+      let lo = Interval.lo s and hi = Interval.hi s in
+      let verdict = reference_classify p (lo, hi) in
+      let success = reference_success p o in
+      let flat =
+        match o with
+        | Uncertain.Gaussian _ -> true
+        | Uncertain.Exact _ | Uncertain.Interval _ ->
+            (* The flat-schema entry points read the support as a
+               uniform (or exact) belief. *)
+            same_float (Predicate.success_bounds c ~lo ~hi) success
+      in
+      Tvl.equal (Predicate.classify p o) verdict
+      && Tvl.equal (Predicate.classify_compiled c o) verdict
+      && Tvl.equal (Predicate.classify_bounds c ~lo ~hi) verdict
+      && Tvl.equal (Predicate.classify_interval p s) verdict
+      && same_float (Predicate.success p o) success
+      && same_float (Predicate.success_compiled c o) success
+      && flat)
+
 let suite =
   [
     ("eval strictness", `Quick, test_eval_strictness);
@@ -149,4 +238,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_classify_sound;
     QCheck_alcotest.to_alcotest prop_success_in_bounds_and_consistent;
     QCheck_alcotest.to_alcotest prop_success_complement;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
   ]

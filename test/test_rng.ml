@@ -141,9 +141,37 @@ let test_sample_without_replacement () =
     (Invalid_argument "Rng.sample_without_replacement: k > n") (fun () ->
       ignore (Rng.sample_without_replacement rng 5 3))
 
+(* Absolute outputs of [Rng.create 42], pinned as literals (captured
+   before the state moved into an unboxed buffer): the tests above only
+   compare the generator with itself, so they could not tell a changed
+   sequence from the old one. *)
+let test_golden_stream () =
+  let r = Rng.create 42 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "bits64" expected (Rng.bits64 r))
+    [
+      -7450291807549245335L;
+      2958219263312191191L;
+      3069497704473277141L;
+      885919558081284366L;
+      -353919125003956057L;
+      4337243929683858115L;
+      5152897204343404489L;
+      2820384354626331986L;
+    ];
+  Alcotest.(check int64) "uniform"
+    (Int64.bits_of_float 0x1.8578493c50ec1p-1)
+    (Int64.bits_of_float (Rng.uniform r));
+  let s = Rng.split r in
+  Alcotest.(check int64) "first draw of a split" (-1118732243571790362L)
+    (Rng.bits64 s);
+  Alcotest.(check int64) "parent after the split" (-4345211542386587372L)
+    (Rng.bits64 r)
+
 let suite =
   [
     ("determinism", `Quick, test_determinism);
+    ("golden stream", `Quick, test_golden_stream);
     ("seeds differ", `Quick, test_seeds_differ);
     ("copy is independent", `Quick, test_copy_independent);
     ("split is independent", `Quick, test_split_independent);

@@ -362,21 +362,22 @@ let test_column_store_pruning_matches_zone_map () =
   let store = Interval_data.to_store ~chunk_size:25 records in
   let zm = Column_store.zone_map store in
   let pred = Predicate.ge 60.0 in
+  let compiled = Predicate.compile pred in
   checki "zone map covers every chunk"
     (Column_store.chunk_count store)
     (Zone_map.page_count zm);
   for c = 0 to Column_store.chunk_count store - 1 do
-    checkb "prunable agrees with Zone_map" (Zone_map.prunable zm pred c)
-      (Column_store.prunable store pred c)
+    checkb "prunable agrees with Zone_map" (Zone_map.prunable zm compiled c)
+      (Column_store.prunable store compiled c)
   done;
   checki "pruned counts agree"
-    (Zone_map.pruned_pages zm pred)
-    (Column_store.pruned_chunks store pred);
+    (Zone_map.pruned_pages zm compiled)
+    (Column_store.pruned_chunks store compiled);
   checkb "pruning bites on this layout" true
-    (Column_store.pruned_chunks store pred > 0);
+    (Column_store.pruned_chunks store compiled > 0);
   (* Soundness: no pruned chunk holds a YES/MAYBE row. *)
   for c = 0 to Column_store.chunk_count store - 1 do
-    if Column_store.prunable store pred c then begin
+    if Column_store.prunable store compiled c then begin
       let ch = Column_store.chunk store c in
       for i = 0 to ch.Column_store.len - 1 do
         let r = Interval_data.of_row (Column_store.row ch i) in
@@ -412,7 +413,7 @@ let test_zone_map () =
   let file = Heap_file.create ~page_size:10 records in
   let zm = Zone_map.build file ~support:(fun i -> i) in
   checki "zones" 10 (Zone_map.page_count zm);
-  let pred = Predicate.ge 75.0 in
+  let pred = Predicate.compile (Predicate.ge 75.0) in
   (* Pages 0..6 hold values <= 64.4 < 75: prunable.  Page 7 straddles. *)
   checkb "page 0 prunable" true (Zone_map.prunable zm pred 0);
   checkb "page 6 prunable" true (Zone_map.prunable zm pred 6);
@@ -437,7 +438,7 @@ let prop_zone_map_sound =
       let pred = Predicate.ge threshold in
       let sound = ref true in
       Heap_file.iter_pages file (fun p objects ->
-          if Zone_map.prunable zm pred p then
+          if Zone_map.prunable zm (Predicate.compile pred) p then
             Array.iter
               (fun i ->
                 match Predicate.classify_interval pred i with
@@ -498,7 +499,7 @@ let test_pruned_scan_regression () =
         Uncertain.support r.belief)
   in
   let pred = Predicate.ge 70.0 in
-  let pruned = Zone_map.pruned_pages zm pred in
+  let pruned = Zone_map.pruned_pages zm (Predicate.compile pred) in
   checkb "some pages prunable" true (pruned > 0);
   checkb "some pages survive" true (pruned < Heap_file.page_count file);
   (* recall = 1 forces consumption of every deliverable object, so the
@@ -520,7 +521,7 @@ let test_pruned_scan_regression () =
     scan (Operator.source_of_cursor (Heap_file.Cursor.open_ file))
   in
   let obs = Obs.create () in
-  let cursor = Zone_map.open_cursor ~obs zm pred file in
+  let cursor = Zone_map.open_cursor ~obs zm (Predicate.compile pred) file in
   checki "cursor skips what the map prunes" pruned
     (Heap_file.Cursor.pages_skipped cursor);
   let pruned_report, pruned_counts =
@@ -546,7 +547,7 @@ let test_pruned_scan_regression () =
     (Invalid_argument "Zone_map.open_cursor: zone map does not match the file")
     (fun () ->
       let other = Heap_file.create ~page_size (Array.sub records 0 128) in
-      ignore (Zone_map.open_cursor zm pred other))
+      ignore (Zone_map.open_cursor zm (Predicate.compile pred) other))
 
 let suite =
   [
